@@ -95,36 +95,22 @@ bool Proc::sampled_write(Addr a, Cycles& resume_at) {
 bool Proc::warm_read(Addr a, Cycles& resume_at) {
   if (!sampling_->fast_forward()) {
     const Addr line = a & line_mask_;
-    bool filtered = false;
-    if (gen_ != nullptr) {
-      const FilterEntry& e = warm_filter_[warm_slot(line)];
-      if (e.line == line && e.gen == *gen_) {
-        ++hot_->reads;
-        ++hot_->read_hits;
-        if (touch_cache_ != nullptr) touch_cache_->touch(line);
-        filtered = true;
-      }
-    }
-    if (!filtered) {
-      if (outbox_ == nullptr) {
-        const AccessResult r = coh_->read(id_, a, now_);
-        if (r.hint != MruHint::None && gen_ != nullptr) {
-          warm_filter_[warm_slot(line)] =
-              FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-        }
-      } else if (const auto lr = coh_->local_read(id_, a, now_)) {
-        if (lr->hint != MruHint::None && gen_ != nullptr) {
-          warm_filter_[warm_slot(line)] =
-              FilterEntry{line, *gen_, lr->hint == MruHint::ReadWrite};
-        }
-      } else {
-        // Cross-cluster warming access: commit at the epoch boundary. The
-        // issuer never stalls (warming has no latency), so this entry is
-        // non-blocking — it neither suspends this processor nor forces the
-        // epoch to end.
-        outbox_->push(Deferred{Deferred::Kind::WarmRead, a, nullptr, nullptr,
-                               now_, {}, this});
-      }
+    if (gen_ != nullptr &&
+        filter_hit(warm_filter_[warm_slot(line)], line, false)) {
+      ++hot_->reads;
+      ++hot_->read_hits;
+      if (touch_cache_ != nullptr) touch_cache_->touch(line);
+    } else if (outbox_ == nullptr) {
+      learn_warm(line, coh_->read(id_, a, now_).hint);
+    } else if (const auto lr = coh_->local_read(id_, a, now_)) {
+      learn_warm(line, lr->hint);
+    } else {
+      // Cross-cluster warming access: commit at the epoch boundary. The
+      // issuer never stalls (warming has no latency), so this entry is
+      // non-blocking — it neither suspends this processor nor forces the
+      // epoch to end.
+      outbox_->push(Deferred{Deferred::Kind::WarmRead, a, nullptr, nullptr,
+                             now_, {}, this});
     }
   }
   const Cycles hit = cfg_->hit_latency;
@@ -141,32 +127,18 @@ bool Proc::warm_read(Addr a, Cycles& resume_at) {
 bool Proc::warm_write(Addr a, Cycles& resume_at) {
   if (!sampling_->fast_forward()) {
     const Addr line = a & line_mask_;
-    bool filtered = false;
-    if (gen_ != nullptr) {
-      const FilterEntry& e = warm_filter_[warm_slot(line)];
-      if (e.line == line && e.writable && e.gen == *gen_) {
-        ++hot_->writes;
-        ++hot_->write_hits;
-        if (touch_cache_ != nullptr) touch_cache_->touch(line);
-        filtered = true;
-      }
-    }
-    if (!filtered) {
-      if (outbox_ == nullptr) {
-        const AccessResult r = coh_->write(id_, a, now_);
-        if (r.hint != MruHint::None && gen_ != nullptr) {
-          warm_filter_[warm_slot(line)] =
-              FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-        }
-      } else if (const auto lw = coh_->local_write(id_, a, now_)) {
-        if (lw->hint != MruHint::None && gen_ != nullptr) {
-          warm_filter_[warm_slot(line)] =
-              FilterEntry{line, *gen_, lw->hint == MruHint::ReadWrite};
-        }
-      } else {
-        outbox_->push(Deferred{Deferred::Kind::WarmWrite, a, nullptr, nullptr,
-                               now_, {}, this});
-      }
+    if (gen_ != nullptr &&
+        filter_hit(warm_filter_[warm_slot(line)], line, true)) {
+      ++hot_->writes;
+      ++hot_->write_hits;
+      if (touch_cache_ != nullptr) touch_cache_->touch(line);
+    } else if (outbox_ == nullptr) {
+      learn_warm(line, coh_->write(id_, a, now_).hint);
+    } else if (const auto lw = coh_->local_write(id_, a, now_)) {
+      learn_warm(line, lw->hint);
+    } else {
+      outbox_->push(Deferred{Deferred::Kind::WarmWrite, a, nullptr, nullptr,
+                             now_, {}, this});
     }
   }
   const Cycles hit = cfg_->hit_latency;
@@ -182,20 +154,17 @@ bool Proc::warm_write(Addr a, Cycles& resume_at) {
 
 bool Proc::detail_read(Addr a, Cycles& resume_at) {
   const Addr line = a & line_mask_;
-  if (gen_ != nullptr) {
-    const FilterEntry& e = filter_[filter_slot(line)];
-    if (e.line == line && e.gen == *gen_) {
-      // Repeat hit to a hinted line, cluster generation unchanged: bypass
-      // the memory system, mirroring its hit-path counter updates and (for
-      // bounded LRU caches) its most-recently-used promotion.
-      ++hot_->reads;
-      ++hot_->read_hits;
-      if (touch_cache_ != nullptr) touch_cache_->touch(line);
-      const Cycles hit = access_cost();
-      buckets_.cpu += hit;
-      now_ += hit;
-      return check_slice(resume_at);
-    }
+  if (gen_ != nullptr && filter_hit(filter_[filter_slot(line)], line, false)) {
+    // Repeat hit to a hinted line, its generation stripe unchanged: bypass
+    // the memory system, mirroring its hit-path counter updates and (for
+    // bounded LRU caches) its most-recently-used promotion.
+    ++hot_->reads;
+    ++hot_->read_hits;
+    if (touch_cache_ != nullptr) touch_cache_->touch(line);
+    const Cycles hit = access_cost();
+    buckets_.cpu += hit;
+    now_ += hit;
+    return check_slice(resume_at);
   }
   AccessResult r;
   if (outbox_ == nullptr) {
@@ -213,10 +182,7 @@ bool Proc::detail_read(Addr a, Cycles& resume_at) {
     resume_at = now_;
     return false;
   }
-  if (r.hint != MruHint::None && gen_ != nullptr) {
-    filter_[filter_slot(line)] =
-        FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-  }
+  learn(line, r.hint);
   const Cycles hit = access_cost();
   switch (r.kind) {
     case AccessResult::Kind::Hit:
@@ -267,15 +233,10 @@ bool Proc::detail_read(Addr a, Cycles& resume_at) {
 
 bool Proc::detail_write(Addr a, Cycles& resume_at) {
   const Addr line = a & line_mask_;
-  const FilterEntry* fe = nullptr;
-  if (gen_ != nullptr) {
-    const FilterEntry& e = filter_[filter_slot(line)];
-    if (e.line == line && e.writable && e.gen == *gen_) fe = &e;
-  }
-  if (fe != nullptr) {
-    // Repeat store to our own EXCLUSIVE line, cluster generation unchanged:
-    // bypass the memory system, mirroring its write-hit counter updates and
-    // (for bounded LRU caches) its most-recently-used promotion.
+  if (gen_ != nullptr && filter_hit(filter_[filter_slot(line)], line, true)) {
+    // Repeat store to our own EXCLUSIVE line, its generation stripe
+    // unchanged: bypass the memory system, mirroring its write-hit counter
+    // updates and (for bounded LRU caches) its most-recently-used promotion.
     ++hot_->writes;
     ++hot_->write_hits;
     if (touch_cache_ != nullptr) touch_cache_->touch(line);
@@ -294,10 +255,7 @@ bool Proc::detail_write(Addr a, Cycles& resume_at) {
       resume_at = now_;
       return false;
     }
-    if (r.hint != MruHint::None && gen_ != nullptr) {
-      filter_[filter_slot(line)] =
-          FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-    }
+    learn(line, r.hint);
     // The store buffer hides miss latency but not the port queue: issue
     // itself waits for the bank/bus, a processor-visible contention stall.
     buckets_.contention += r.contention;
@@ -423,9 +381,13 @@ bool Proc::warm_run_batch(Cycles& resume_at, bool& progressed) {
   if (!sampling_->fast_forward()) {
     // Memory state (FastForward makes no accesses): walk the group in
     // line-sized chunks — within a chunk every memory op stays on one cache
-    // line, so a single real access (or warm-filter probe) covers it and
-    // the rest are exactly the repeat hits the filter would short-circuit,
-    // bumped in bulk. Chunking inside one call, instead of capping the
+    // line, so after the chunk's first iteration (retired per reference:
+    // warm-filter probe or real access) the rest are exactly the repeat hits
+    // the filter would short-circuit, bumped in bulk. That holds only while
+    // no access of the first iteration killed a line another op uses (a
+    // conflict eviction between the ops' lines); the ops' generation
+    // stripes show it, and such a chunk retires just its first iteration so
+    // the next one re-probes. Chunking inside one call, instead of capping the
     // batch at a line crossing, amortizes the batch setup over strided
     // streams whose chunks are a single iteration (LU's block sweeps).
     // (Filter collisions between ops are harmless: the filter is a
@@ -443,47 +405,48 @@ bool Proc::warm_run_batch(Cycles& resume_at, bool& progressed) {
             (next_line - addr + op.stride - 1) / op.stride;
         if (in_line < chunk) chunk = in_line;
       }
+      std::uint64_t seen = 0;  // sum of each op's stripe after its access
       for (unsigned j = 0; j < r.num_ops; ++j) {
         const RunOp& op = r.ops[j];
         if (op.kind == RunOp::Kind::Compute) continue;
         const bool is_read = op.kind == RunOp::Kind::Read;
         const Addr addr = op.base + Addr{r.idx} * op.stride;
         const Addr line = addr & line_mask_;
-        const FilterEntry& e = warm_filter_[warm_slot(line)];
-        std::uint64_t repeats = chunk;
-        if (!(e.line == line && (is_read || e.writable) && e.gen == *gen_)) {
-          if (outbox_ == nullptr) {
-            const AccessResult ar = is_read ? coh_->read(id_, addr, now_)
-                                            : coh_->write(id_, addr, now_);
-            if (ar.hint != MruHint::None) {
-              warm_filter_[warm_slot(line)] =
-                  FilterEntry{line, *gen_, ar.hint == MruHint::ReadWrite};
-            }
-          } else if (const auto ar = is_read
-                         ? coh_->local_read(id_, addr, now_)
-                         : coh_->local_write(id_, addr, now_)) {
-            if (ar->hint != MruHint::None) {
-              warm_filter_[warm_slot(line)] =
-                  FilterEntry{line, *gen_, ar->hint == MruHint::ReadWrite};
-            }
-          } else {
-            // Deferred cross-cluster access: the boundary commit is the one
-            // real access of this chunk; the rest are its repeat hits.
-            outbox_->push(Deferred{is_read ? Deferred::Kind::WarmRead
-                                           : Deferred::Kind::WarmWrite,
-                                   addr, nullptr, nullptr, now_, {}, this});
-          }
-          repeats = chunk - 1;
-        }
-        if (repeats != 0) {
-          if (is_read) {
-            hot_->reads += repeats;
-            hot_->read_hits += repeats;
-          } else {
-            hot_->writes += repeats;
-            hot_->write_hits += repeats;
-          }
+        if (filter_hit(warm_filter_[warm_slot(line)], line, !is_read)) {
+          count_hits(is_read, 1);
           if (touch_cache_ != nullptr) touch_cache_->touch(line);
+        } else if (outbox_ == nullptr) {
+          learn_warm(line, is_read ? coh_->read(id_, addr, now_).hint
+                                   : coh_->write(id_, addr, now_).hint);
+        } else if (const auto ar = is_read
+                       ? coh_->local_read(id_, addr, now_)
+                       : coh_->local_write(id_, addr, now_)) {
+          learn_warm(line, ar->hint);
+        } else {
+          // Deferred cross-cluster access: the boundary commit is the one
+          // real access of this chunk; the rest are its repeat hits.
+          outbox_->push(Deferred{is_read ? Deferred::Kind::WarmRead
+                                         : Deferred::Kind::WarmWrite,
+                                 addr, nullptr, nullptr, now_, {}, this});
+        }
+        if (chunk > 1) seen += gen_of(line);
+      }
+      if (chunk > 1) {
+        // Generations only grow, so an unchanged sum proves no access of
+        // the first iteration killed an op's line. The first iteration also
+        // left the ops' lines most recently used in op order, which is where
+        // repeating it would leave them: the repeat hits need no LRU touch.
+        std::uint64_t still = 0;
+        for (unsigned j = 0; j < r.num_ops; ++j) {
+          const RunOp& op = r.ops[j];
+          if (op.kind == RunOp::Kind::Compute) continue;
+          still += gen_of((op.base + Addr{r.idx} * op.stride) & line_mask_);
+        }
+        if (still != seen) chunk = 1;
+        for (unsigned j = 0; j < r.num_ops && chunk > 1; ++j) {
+          const RunOp& op = r.ops[j];
+          if (op.kind == RunOp::Kind::Compute) continue;
+          count_hits(op.kind == RunOp::Kind::Read, chunk - 1);
         }
       }
       // Advance the local clock per chunk so real accesses carry the same
@@ -651,11 +614,7 @@ void Proc::finish_warm(const Deferred& d) {
   const AccessResult r = d.kind == Deferred::Kind::WarmRead
                              ? coh_->read(id_, d.addr, d.t)
                              : coh_->write(id_, d.addr, d.t);
-  if (r.hint != MruHint::None && gen_ != nullptr) {
-    const Addr line = d.addr & line_mask_;
-    warm_filter_[warm_slot(line)] =
-        FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-  }
+  learn_warm(d.addr & line_mask_, r.hint);
 }
 
 void Proc::finish_read(const Deferred& d, Cycles floor) {
@@ -664,11 +623,7 @@ void Proc::finish_read(const Deferred& d, Cycles floor) {
   // what this access sees, and the full path classifies it correctly —
   // including Hit/Merge against state another deferred op just created.
   const AccessResult r = coh_->read(id_, d.addr, d.t);
-  const Addr line = d.addr & line_mask_;
-  if (r.hint != MruHint::None && gen_ != nullptr) {
-    filter_[filter_slot(line)] =
-        FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-  }
+  learn(d.addr & line_mask_, r.hint);
   const Cycles hit = access_cost();
   Cycles done;
   bool merge = false;
@@ -703,11 +658,7 @@ void Proc::finish_read(const Deferred& d, Cycles floor) {
 
 void Proc::finish_write(const Deferred& d, Cycles floor) {
   const AccessResult r = coh_->write(id_, d.addr, d.t);
-  const Addr line = d.addr & line_mask_;
-  if (r.hint != MruHint::None && gen_ != nullptr) {
-    filter_[filter_slot(line)] =
-        FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-  }
+  learn(d.addr & line_mask_, r.hint);
   // Store issue occupies the cache for one access; miss/upgrade latency is
   // hidden by the store buffer exactly as on the inline path.
   const Cycles cost = access_cost();

@@ -113,7 +113,9 @@ class Proc : public EventQueue::Resumable {
         line_mask_(~Addr{cfg.cache.line_bytes - 1}),
         hot_(coh.hot_counters(cfg.cluster_of(id))),
         rng_state_(0x9e3779b9u ^ (id * 2654435761u)) {
-    if (hot_ != nullptr) {
+    // Filter entries keep the writable flag in the line's low bit, which a
+    // 1-byte line does not leave free.
+    if (hot_ != nullptr && cfg.cache.line_bytes > 1) {
       gen_ = coh.generation_addr(cluster_);
       touch_cache_ = coh.touch_cache(id_);
     }
@@ -383,39 +385,83 @@ class Proc : public EventQueue::Resumable {
   TimeBuckets buckets_{};
 
   // Generation-tagged hit filter (docs/PERFORMANCE.md): a small direct-mapped
-  // table of lines this processor recently hit, each entry valid while its
-  // cluster's generation counter (MemorySystem::generation_addr) is
-  // unchanged. The memory system bumps the counter only on events that could
-  // invalidate a hint in *this* cluster, so — unlike a global epoch — entries
-  // survive across event-queue slices while other clusters run. Repeat hits
-  // bypass the virtual access call and its protocol branches, charging
-  // access_cost() and bumping reads/hits via hot_; with bounded LRU caches
-  // they also touch the line (touch_cache_) so eviction order — and with it
-  // every digest — stays bit-identical to the slow path. Disabled
-  // (gen_ == nullptr) when the memory system must observe every access.
-  static constexpr std::size_t kFilterSlots = 8;  // covers Ocean's 6 streams
+  // table of lines this processor recently hit, each entry valid while the
+  // generation stripe guarding its line in this cluster
+  // (MemorySystem::generation_addr, gen_stripe) is unchanged. The memory
+  // system bumps a stripe only when it kills a line on that stripe in
+  // *this* cluster, so — unlike a global epoch — entries survive across
+  // event-queue slices while other clusters run, and across kills of
+  // unrelated lines. Repeat hits bypass the virtual access call and its
+  // protocol branches, charging access_cost() and bumping reads/hits via
+  // hot_; with bounded LRU caches they also touch the line (touch_cache_) so
+  // eviction order — and with it every digest — stays bit-identical to the
+  // slow path. Disabled (gen_ == nullptr) when the memory system must
+  // observe every access.
+  //
+  // AddressSpace page-aligns every allocation, so the same element of
+  // different arrays shares its low line bits (Ocean's grids sit a multiple
+  // of 128 lines apart). The slot index therefore XOR-folds higher line bits
+  // into the low ones; indexing by the low bits alone would put every
+  // array's stream on the same slot.
+  static constexpr std::size_t kFilterSlots = 64;
   struct FilterEntry {
-    Addr line = ~Addr{0};  // never line-aligned: matches no real line
+    Addr tag = ~Addr{0};  // line | writable; ~0 matches no line
     std::uint64_t gen = 0;
-    bool writable = false;
   };
+  static_assert(sizeof(FilterEntry) == 16);
   [[nodiscard]] std::size_t filter_slot(Addr line) const noexcept {
-    return (line >> line_shift_) & (kFilterSlots - 1);
+    const Addr l = line >> line_shift_;
+    return (l ^ (l >> 6) ^ (l >> 12)) & (kFilterSlots - 1);
+  }
+  /// Current generation of the stripe guarding `line`.
+  [[nodiscard]] std::uint64_t gen_of(Addr line) const noexcept {
+    return gen_[gen_stripe(line, line_shift_)];
+  }
+  /// True if `e` proves a repeat read (or, with `write`, a repeat write) of
+  /// `line` is a plain hit.
+  [[nodiscard]] bool filter_hit(const FilterEntry& e, Addr line,
+                                bool write) const noexcept {
+    return (write ? e.tag == (line | 1) : (e.tag & ~Addr{1}) == line) &&
+           e.gen == gen_of(line);
+  }
+  [[nodiscard]] FilterEntry hint_entry(Addr line, MruHint h) const noexcept {
+    return FilterEntry{line | Addr{h == MruHint::ReadWrite}, gen_of(line)};
+  }
+  /// Records the memory system's hint for `line` in the detailed filter.
+  void learn(Addr line, MruHint h) noexcept {
+    if (h != MruHint::None && gen_ != nullptr) {
+      filter_[filter_slot(line)] = hint_entry(line, h);
+    }
   }
   MissCounters* hot_ = nullptr;
-  const std::uint64_t* gen_ = nullptr;  // null disables the filter
+  const std::uint64_t* gen_ = nullptr;  // stripe base; null disables filter
   CacheStorage* touch_cache_ = nullptr;  // LRU to touch per filtered hit
   std::array<FilterEntry, kFilterSlots> filter_{};
   // Functional warming consults an enlarged table instead: warming retires
-  // the whole reference stream, so repeat-pass hits dominate and 8 slots
-  // thrash (measured ~31% of warming references fell through to full
-  // protocol calls). Same entry shape and generation-validity rule, so the
-  // digest-neutrality argument is size-independent; kept separate from
-  // filter_ so the detailed path's footprint and speed are untouched.
+  // the whole reference stream, so repeat-pass hits dominate and the
+  // detailed table thrashes. Same entry shape and generation-validity rule,
+  // so the digest-neutrality argument is size-independent; kept separate
+  // from filter_ so the detailed path's footprint and speed are untouched.
   // Allocated only when sampling is attached (set_sampling).
   static constexpr std::size_t kWarmFilterSlots = 8192;
   [[nodiscard]] std::size_t warm_slot(Addr line) const noexcept {
     return (line >> line_shift_) & (kWarmFilterSlots - 1);
+  }
+  /// Bumps the hit counters for `n` short-circuited reads or writes.
+  void count_hits(bool is_read, std::uint64_t n) noexcept {
+    if (is_read) {
+      hot_->reads += n;
+      hot_->read_hits += n;
+    } else {
+      hot_->writes += n;
+      hot_->write_hits += n;
+    }
+  }
+  /// Records the memory system's hint for `line` in the warming table.
+  void learn_warm(Addr line, MruHint h) {
+    if (h != MruHint::None && gen_ != nullptr) {
+      warm_filter_[warm_slot(line)] = hint_entry(line, h);
+    }
   }
   std::vector<FilterEntry> warm_filter_;
   unsigned line_shift_ = 0;

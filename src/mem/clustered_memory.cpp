@@ -1,6 +1,7 @@
 #include "src/mem/clustered_memory.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/core/error.hpp"
 #include "src/mem/audit_util.hpp"
@@ -12,7 +13,9 @@ namespace csim {
 
 ClusteredMemorySystem::ClusteredMemorySystem(
     std::shared_ptr<const MachineSpec> spec, const AddressSpace& as)
-    : spec_(std::move(spec)), cfg_(*spec_), homes_(as, cfg_) {
+    : spec_(std::move(spec)), cfg_(*spec_), homes_(as, cfg_),
+      line_shift_(
+          static_cast<unsigned>(std::countr_zero(cfg_.cache.line_bytes))) {
   if (cfg_.contention.enabled) {
     contention_ = std::make_unique<ContentionModel>(cfg_);
   }
@@ -27,7 +30,7 @@ ClusteredMemorySystem::ClusteredMemorySystem(
   attraction_.resize(cfg_.num_clusters());
   mshrs_.resize(cfg_.num_clusters());
   counters_.resize(cfg_.num_clusters());
-  gen_.resize(cfg_.num_clusters(), 0);
+  gen_.resize(cfg_.num_clusters() * kGenStripes, 0);
   // Size the directory, cold-line set, attraction memories, and (infinite)
   // private caches to the application's allocated footprint so steady-state
   // operation never rehashes.
@@ -263,7 +266,7 @@ void ClusteredMemorySystem::install_private(ProcId p, Addr line,
   auto victim = caches_[p]->insert(line, st);
   if (victim) {
     const ClusterId c = cfg_.cluster_of(p);
-    ++gen_[c];  // kill hook: any hint for the victim line is dead
+    kill_hints(c, victim->line);
     ++counters_[c].evictions;
     // The victim falls back to the (infinite) attraction memory: the line
     // stays in the cluster, so no directory replacement hint is sent.
@@ -276,7 +279,7 @@ void ClusteredMemorySystem::install_private(ProcId p, Addr line,
 void ClusteredMemorySystem::purge_cluster(ClusterId c, Addr line) {
   ClusterLine* cl = attraction_[c].find(line);
   if (cl == nullptr) return;
-  ++gen_[c];  // kill hook: copies in this cluster are going away
+  kill_hints(c, line);  // copies in this cluster are going away
   std::uint64_t copies = cl->proc_copies;
   const ProcId base = c * cfg_.procs_per_cluster;
   while (copies) {
@@ -337,7 +340,7 @@ AccessResult ClusteredMemorySystem::fetch_remote(ProcId p, Addr line,
       // Remote owner cluster keeps a SHARED copy; demote its caches too.
       const ClusterId o = e.owner();
       if (ClusterLine* ocl = attraction_[o].find(line)) {
-        ++gen_[o];  // kill hook: owner cluster's copies demoted to SHARED
+        kill_hints(o, line);  // owner cluster's copies demoted to SHARED
         ocl->cluster_exclusive = false;
         std::uint64_t copies = ocl->proc_copies;
         const ProcId base = o * cfg_.procs_per_cluster;
@@ -442,7 +445,7 @@ AccessResult ClusteredMemorySystem::read(ProcId p, Addr a, Cycles now) {
     if (cl.proc_copies) {
       lat = cfg_.latency.snoop_transfer;
       ++ctr.snoop_transfers;
-      ++gen_[c];  // kill hook: peer copies demoted to SHARED
+      kill_hints(c, line);  // peer copies demoted to SHARED
       // Cache-to-cache transfer demotes any proc-exclusive peer copy.
       std::uint64_t copies = cl.proc_copies;
       const ProcId base = c * cfg_.procs_per_cluster;
@@ -522,7 +525,7 @@ std::optional<AccessResult> ClusteredMemorySystem::local_read(ProcId p,
     if (cl.proc_copies) {
       lat = cfg_.latency.snoop_transfer;
       ++ctr.snoop_transfers;
-      ++gen_[c];  // kill hook: peer copies demoted to SHARED
+      kill_hints(c, line);  // peer copies demoted to SHARED
       std::uint64_t copies = cl.proc_copies;
       const ProcId base = c * cfg_.procs_per_cluster;
       while (copies) {
@@ -552,7 +555,7 @@ std::optional<AccessResult> ClusteredMemorySystem::local_write(ProcId p,
   auto kill_local_peers = [&](ClusterLine& cl) {
     std::uint64_t others =
         cl.proc_copies & ~(std::uint64_t{1} << local_index(p));
-    if (others != 0) ++gen_[c];  // kill hook: peer copies erased off the bus
+    if (others != 0) kill_hints(c, line);  // peer copies erased off the bus
     const ProcId base = c * cfg_.procs_per_cluster;
     while (others) {
       const unsigned li = static_cast<unsigned>(__builtin_ctzll(others));
@@ -624,7 +627,7 @@ AccessResult ClusteredMemorySystem::write(ProcId p, Addr a, Cycles now) {
   auto kill_local_peers = [&](ClusterLine& cl) {
     std::uint64_t others =
         cl.proc_copies & ~(std::uint64_t{1} << local_index(p));
-    if (others != 0) ++gen_[c];  // kill hook: peer copies erased off the bus
+    if (others != 0) kill_hints(c, line);  // peer copies erased off the bus
     const ProcId base = c * cfg_.procs_per_cluster;
     while (others) {
       const unsigned li = static_cast<unsigned>(__builtin_ctzll(others));

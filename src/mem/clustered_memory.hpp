@@ -82,16 +82,17 @@ class ClusteredMemorySystem final : public MemorySystem {
     return &counters_[c];
   }
 
-  /// Per-cluster hit-filter generation (docs/PERFORMANCE.md): bumped whenever
-  /// any private cache in the cluster loses or downgrades a line — bus
-  /// invalidations, cluster purges, snoop demotions, remote-owner demotions,
-  /// private-cache evictions. A hint can only go stale through one of those
-  /// events (a cluster fill for a hinted line would require the line to have
-  /// left its private cache first), so no per-access bump is needed; LRU
-  /// exactness is the processor's job via touch_cache().
+  /// Per-cluster striped hit-filter generations (docs/PERFORMANCE.md):
+  /// stripe gen_stripe(L) is bumped whenever any private cache in the
+  /// cluster loses or downgrades line L — bus invalidations, cluster purges,
+  /// snoop demotions, remote-owner demotions, private-cache evictions. A
+  /// hint can only go stale through one of those events (a cluster fill for
+  /// a hinted line would require the line to have left its private cache
+  /// first), so no per-access bump is needed; LRU exactness is the
+  /// processor's job via touch_cache().
   [[nodiscard]] const std::uint64_t* generation_addr(
       ClusterId c) const noexcept override {
-    return &gen_[c];
+    return &gen_[c * kGenStripes];
   }
 
   /// Bounded private caches are LRU: the processor must touch the line on
@@ -143,6 +144,11 @@ class ClusteredMemorySystem final : public MemorySystem {
     return p % cfg_.procs_per_cluster;
   }
 
+  /// Kill hook: every hit-filter hint for `line` in cluster `c` is dead.
+  void kill_hints(ClusterId c, Addr line) noexcept {
+    ++gen_[c * kGenStripes + gen_stripe(line, line_shift_)];
+  }
+
   /// Installs into `p`'s private cache; evicted victims fall back to the
   /// attraction memory (still within the cluster, no directory hint).
   void install_private(ProcId p, Addr line, LineState st);
@@ -175,7 +181,8 @@ class ClusteredMemorySystem final : public MemorySystem {
   std::vector<Attraction> attraction_;                // one per cluster
   std::vector<MshrTable> mshrs_;                      // one per cluster
   std::vector<MissCounters> counters_;
-  std::vector<std::uint64_t> gen_;  // per-cluster hit-filter generations
+  std::vector<std::uint64_t> gen_;  // kGenStripes generations per cluster
+  unsigned line_shift_;             // log2(line_bytes), for gen_stripe
   FlatSet touched_lines_;
 };
 

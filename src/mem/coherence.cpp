@@ -1,6 +1,7 @@
 #include "src/mem/coherence.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/core/error.hpp"
 #include "src/mem/audit_util.hpp"
@@ -12,7 +13,9 @@ namespace csim {
 
 CoherenceController::CoherenceController(std::shared_ptr<const MachineSpec> spec,
                                          const AddressSpace& as)
-    : spec_(std::move(spec)), cfg_(*spec_), homes_(as, cfg_) {
+    : spec_(std::move(spec)), cfg_(*spec_), homes_(as, cfg_),
+      line_shift_(
+          static_cast<unsigned>(std::countr_zero(cfg_.cache.line_bytes))) {
   if (cfg_.contention.enabled) {
     contention_ = std::make_unique<ContentionModel>(cfg_);
   }
@@ -25,7 +28,7 @@ CoherenceController::CoherenceController(std::shared_ptr<const MachineSpec> spec
   }
   mshrs_.resize(nc);
   counters_.resize(nc);
-  gen_.resize(nc, 0);
+  gen_.resize(nc * kGenStripes, 0);
   // Size the directory and cold-line set to the application's allocated
   // footprint so steady-state operation never rehashes.
   const std::size_t lines =
@@ -191,7 +194,7 @@ bool CoherenceController::restore_warm_state(const WarmState& ws) {
 void CoherenceController::install(ClusterId c, Addr line, LineState st) {
   auto victim = caches_[c]->insert(line, st);
   if (victim) {
-    ++gen_[c];  // replacement: any hint for the victim line is dead
+    kill_hints(c, victim->line);  // replacement: the victim's hints die
     ++counters_[c].evictions;
     dir_.replacement_hint(victim->line, c);
     // A pending fill whose line was replaced before use is simply dropped;
@@ -232,7 +235,7 @@ void CoherenceController::invalidate_others(Addr line, ClusterId keep,
   while (rest) {
     const ClusterId x = static_cast<ClusterId>(__builtin_ctzll(rest));
     rest &= rest - 1;
-    ++gen_[x];  // kill hook: cluster x's copy is going away
+    kill_hints(x, line);  // cluster x's copy is going away
     if (caches_[x]->erase(line)) {
       ++counters_[x].invalidations;
       ++killed;
@@ -260,9 +263,8 @@ AccessResult CoherenceController::handle_read_miss(ClusterId c, Addr line,
 
   if (e.state == DirState::Exclusive) {
     // Downgrade the owner's copy: it keeps a SHARED copy, data goes home.
-    // Kill hook: the owner's writable hint for this line must die with the
-    // downgrade.
-    ++gen_[e.owner()];
+    // The owner's writable hint for this line must die with the downgrade.
+    kill_hints(e.owner(), line);
     caches_[e.owner()]->set_state(line, LineState::Shared);
   }
   e.add(c);

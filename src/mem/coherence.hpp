@@ -74,15 +74,15 @@ class CoherenceController final : public MemorySystem {
     return contention_ ? nullptr : &counters_[c];
   }
 
-  /// Per-cluster hit-filter generation (docs/PERFORMANCE.md): bumped by
-  /// invalidations, evictions, and owner downgrades hitting the cluster's
-  /// cache. A hint can only go stale through one of those events — a fill
-  /// for a hinted line would require the line to have left the cache first —
-  /// so no per-access bump is needed; LRU exactness is the processor's job
-  /// via touch_cache().
+  /// Per-cluster striped hit-filter generations (docs/PERFORMANCE.md): an
+  /// invalidation, eviction or owner downgrade of line L in the cluster's
+  /// cache bumps stripe gen_stripe(L). A hint can only go stale through one
+  /// of those events — a fill for a hinted line would require the line to
+  /// have left the cache first — so no per-access bump is needed; LRU
+  /// exactness is the processor's job via touch_cache().
   [[nodiscard]] const std::uint64_t* generation_addr(
       ClusterId c) const noexcept override {
-    return &gen_[c];
+    return &gen_[c * kGenStripes];
   }
 
   /// Bounded cluster caches are LRU: the processor must touch the line on
@@ -117,6 +117,11 @@ class CoherenceController final : public MemorySystem {
  private:
   Addr line_of(Addr a) const noexcept { return a & ~Addr{cfg_.cache.line_bytes - 1}; }
 
+  /// Kill hook: every hit-filter hint for `line` in cluster `c` is dead.
+  void kill_hints(ClusterId c, Addr line) noexcept {
+    ++gen_[c * kGenStripes + gen_stripe(line, line_shift_)];
+  }
+
   /// Classifies a miss per Table 1 and updates remote copies/directory for a
   /// read (fetch SHARED). `port_wait` is the already-paid bank queueing
   /// delay folded into the result's contention total.
@@ -145,7 +150,8 @@ class CoherenceController final : public MemorySystem {
   std::vector<std::unique_ptr<CacheStorage>> caches_;
   std::vector<MshrTable> mshrs_;
   std::vector<MissCounters> counters_;
-  std::vector<std::uint64_t> gen_;  // per-cluster hit-filter generations
+  std::vector<std::uint64_t> gen_;  // kGenStripes generations per cluster
+  unsigned line_shift_;             // log2(line_bytes), for gen_stripe
   FlatSet touched_lines_;  // cold-miss tracking
 };
 

@@ -10,6 +10,7 @@
 // Both present the same access interface to the processor model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -22,13 +23,27 @@ class CacheStorage;
 class Observer;
 struct WarmState;
 
+/// Hit-filter generation counters per cluster (docs/PERFORMANCE.md §3). Each
+/// cluster's generation is striped by line: a kill of line L bumps only
+/// stripe gen_stripe(L), so it leaves the hints for lines on other stripes
+/// alive.
+inline constexpr std::size_t kGenStripes = 256;
+
+/// Stripe of cluster generation counters that guards `line` (a line-aligned
+/// address; `line_shift` = log2 of the line size). The memory system's kill
+/// hooks and the processor's filter probes must agree on it.
+[[nodiscard]] constexpr std::size_t gen_stripe(Addr line,
+                                               unsigned line_shift) noexcept {
+  return static_cast<std::size_t>(line >> line_shift) & (kGenStripes - 1);
+}
+
 /// Repeat-access eligibility of a Hit, used by the processor's
 /// generation-tagged hit filter (docs/PERFORMANCE.md). The memory system
-/// promises that, as long as the hinted cluster's generation counter is
-/// unchanged, another access to the same line by the same processor would be
-/// a plain Hit with exactly the same counter updates — so the processor may
-/// short-circuit it, provided it also performs the LRU touch the slow path
-/// would have (touch_cache()).
+/// promises that, as long as the generation stripe guarding the line in the
+/// processor's cluster is unchanged, another access to the same line by the
+/// same processor would be a plain Hit with exactly the same counter updates
+/// — so the processor may short-circuit it, provided it also performs the
+/// LRU touch the slow path would have (touch_cache()).
 enum class MruHint : std::uint8_t {
   None,       ///< not eligible (miss, merge, pending fill, …)
   ReadOnly,   ///< repeat reads are plain hits (line SHARED)
@@ -111,16 +126,14 @@ class MemorySystem {
 
   // --- Processor hit-filter fast-path support (docs/PERFORMANCE.md) --------
 
-  /// Address of cluster `c`'s hit-filter generation counter, stable for this
-  /// memory system's lifetime, or nullptr (the default) when the filter must
-  /// stay disabled for that cluster. A participating memory system bumps the
-  /// counter on every event that could invalidate a processor's cached hint
-  /// for a line of that cluster — invalidations, evictions/replacements,
-  /// downgrades — and, when the contention model is on with bounded caches
-  /// (where a slow-path hit also occupies the bank/bus port), every slow-path
-  /// access the cluster itself performs. Unrelated clusters' accesses leave
-  /// it alone, so hints survive across event-queue slices in interleaved
-  /// runs.
+  /// Base of cluster `c`'s kGenStripes hit-filter generation counters,
+  /// stable for this memory system's lifetime, or nullptr (the default) when
+  /// the filter must stay disabled for that cluster. A participating memory
+  /// system bumps counter gen_stripe(L) on every event that could invalidate
+  /// a processor's hint for line L in that cluster — invalidation, eviction,
+  /// downgrade — and nothing else. Plain accesses never bump, and a kill of
+  /// L leaves other clusters and other stripes alone, so hints survive
+  /// across event-queue slices and across unrelated kills.
   [[nodiscard]] virtual const std::uint64_t* generation_addr(
       ClusterId) const noexcept {
     return nullptr;
@@ -129,9 +142,8 @@ class MemorySystem {
   /// Cache the processor must LRU-touch on each filtered hit for `p`'s
   /// accesses, or nullptr (the default) when no touch is needed. Bounded LRU
   /// caches need the touch — a skipped one would be observable in eviction
-  /// order — so without it the memory system must instead kill hints on every
-  /// slow-path access of the cluster (see generation_addr). Infinite caches
-  /// have no replacement order to maintain and return nullptr.
+  /// order. Infinite caches have no replacement order to maintain and return
+  /// nullptr.
   [[nodiscard]] virtual CacheStorage* touch_cache(ProcId) noexcept {
     return nullptr;
   }
