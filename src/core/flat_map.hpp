@@ -1,11 +1,13 @@
 // Open-addressing flat hash map keyed by simulated addresses.
 //
-// The coherence hot path does several hash lookups per simulated reference
-// (cluster cache, MSHR, directory, cold-line set). std::unordered_map pays a
-// heap-allocated node and a pointer chase per entry; FlatMap stores keys,
-// values, and occupancy tags in three dense arrays with linear probing and a
-// multiplicative (Fibonacci) hash, so the common lookup touches one or two
-// cache lines and inserts allocate nothing.
+// The memory system keeps its sparse per-line state in these tables: each
+// cache's line index, the MSHRs, the shared-main-memory attraction memories,
+// the cold-line set and the page home map. (The directory is dense over the
+// allocated footprint and indexes a flat array instead; see directory.hpp.)
+// std::unordered_map pays a heap-allocated node and a pointer chase per
+// entry; FlatMap stores keys, values, and occupancy tags in three dense
+// arrays with linear probing and a multiplicative (Fibonacci) hash, so the
+// common lookup touches one or two cache lines and inserts allocate nothing.
 //
 // Deliberate semantics (narrower than std::unordered_map, and relied upon by
 // the memory-system code):

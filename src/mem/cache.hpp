@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -78,26 +77,42 @@ class CacheStorage {
   [[nodiscard]] std::vector<std::pair<Addr, LineState>> dump_lru_order() const;
 
  private:
-  struct Node {
-    Addr line;
-    LineState state;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// One preallocated way: its line and the set's LRU links (prev toward
+  /// MRU, next toward LRU). Erased ways are chained on the free list
+  /// through `next`.
+  struct Way {
+    Addr line = 0;
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
   };
-  using LruList = std::list<Node>;
+  /// A set's LRU list: head is MRU, tail is LRU.
+  struct Set {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t used = 0;
+  };
+  /// Line index entry. The state lives only here; `way` is unused by
+  /// infinite caches, which keep no ways.
+  struct Slot {
+    LineState state = LineState::Shared;
+    std::uint32_t way = kNil;
+  };
 
   unsigned set_index(Addr line) const noexcept;
+  void unlink(Set& s, std::uint32_t w) noexcept;
+  void push_mru(Set& s, std::uint32_t w) noexcept;
+  void move_to_mru(Addr line, std::uint32_t w) noexcept;
 
   std::size_t capacity_ = 0;     // total lines; 0 = infinite
-  unsigned ways_ = 0;            // 0 = fully associative
+  unsigned ways_per_set_ = 0;    // 0 = fully associative
   unsigned line_shift_ = 6;
   std::size_t num_sets_ = 1;
-  // One LRU list per set (fully associative => single set). For the infinite
-  // cache the list is unused; only the map holds state.
-  std::vector<LruList> sets_;
-  struct MapEntry {
-    LineState state = LineState::Shared;  // authoritative for infinite mode
-    LruList::iterator it{};               // valid only in bounded mode
-  };
-  FlatMap<MapEntry> map_;
+  std::vector<Way> ways_;        // capacity_ ways; empty when infinite
+  std::vector<Set> sets_;        // fully associative => a single set
+  std::uint32_t free_ = kNil;    // head of the free-way list
+  FlatMap<Slot> map_;
 };
 
 }  // namespace csim

@@ -14,6 +14,7 @@ namespace csim {
 ClusteredMemorySystem::ClusteredMemorySystem(
     std::shared_ptr<const MachineSpec> spec, const AddressSpace& as)
     : spec_(std::move(spec)), cfg_(*spec_), homes_(as, cfg_),
+      dir_(cfg_.cache.line_bytes, as.bytes_allocated() / cfg_.cache.line_bytes),
       line_shift_(
           static_cast<unsigned>(std::countr_zero(cfg_.cache.line_bytes))) {
   if (cfg_.contention.enabled) {
@@ -31,12 +32,11 @@ ClusteredMemorySystem::ClusteredMemorySystem(
   mshrs_.resize(cfg_.num_clusters());
   counters_.resize(cfg_.num_clusters());
   gen_.resize(cfg_.num_clusters() * kGenStripes, 0);
-  // Size the directory, cold-line set, attraction memories, and (infinite)
-  // private caches to the application's allocated footprint so steady-state
-  // operation never rehashes.
+  // Like the directory above, size the cold-line set, attraction memories,
+  // and (infinite) private caches to the application's allocated footprint
+  // so steady-state operation never rehashes.
   const std::size_t lines =
       static_cast<std::size_t>(as.bytes_allocated() / cfg_.cache.line_bytes);
-  dir_.reserve(lines);
   touched_lines_.reserve(lines);
   for (auto& a : attraction_) a.reserve(lines);
   if (cfg_.cache.infinite()) {
@@ -79,7 +79,7 @@ void ClusteredMemorySystem::audit() const {
 
   // Directory sharer bits agree with attraction-memory residency, and the
   // EXCLUSIVE owner is exactly the cluster flagged cluster_exclusive.
-  for (const auto& [line, e] : dir_.entries()) {
+  dir_.for_each([&](Addr line, const DirEntry& e) {
     if (nc < 64 && (e.sharers >> nc) != 0) {
       violation(line, "sharer bit set beyond cluster count");
     }
@@ -114,7 +114,7 @@ void ClusteredMemorySystem::audit() const {
         }
       }
     }
-  }
+  });
 
   // Bus-level copy bits agree with private cache contents; an EXCLUSIVE
   // private copy is the sole copy of a cluster_exclusive line.
@@ -187,16 +187,12 @@ bool ClusteredMemorySystem::capture_warm_state(WarmState& out) const {
   out.homes = homes_.snapshot();
   out.directory.clear();
   out.directory.reserve(dir_.tracked_lines());
-  for (const auto& [line, e] : dir_.entries()) {
+  dir_.for_each([&](Addr line, const DirEntry& e) {
     // Fully invalidated entries are behaviorally identical to absent ones.
-    if (e.state == DirState::NotCached && e.sharers == 0) continue;
+    if (e.state == DirState::NotCached && e.sharers == 0) return;
     out.directory.push_back(
         WarmDirLine{line, static_cast<std::uint8_t>(e.state), e.sharers});
-  }
-  std::sort(out.directory.begin(), out.directory.end(),
-            [](const WarmDirLine& a, const WarmDirLine& b) {
-              return a.line < b.line;
-            });
+  });
   out.caches.clear();
   out.caches.reserve(caches_.size());
   for (const auto& c : caches_) {

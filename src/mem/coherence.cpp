@@ -14,6 +14,7 @@ namespace csim {
 CoherenceController::CoherenceController(std::shared_ptr<const MachineSpec> spec,
                                          const AddressSpace& as)
     : spec_(std::move(spec)), cfg_(*spec_), homes_(as, cfg_),
+      dir_(cfg_.cache.line_bytes, as.bytes_allocated() / cfg_.cache.line_bytes),
       line_shift_(
           static_cast<unsigned>(std::countr_zero(cfg_.cache.line_bytes))) {
   if (cfg_.contention.enabled) {
@@ -29,11 +30,11 @@ CoherenceController::CoherenceController(std::shared_ptr<const MachineSpec> spec
   mshrs_.resize(nc);
   counters_.resize(nc);
   gen_.resize(nc * kGenStripes, 0);
-  // Size the directory and cold-line set to the application's allocated
-  // footprint so steady-state operation never rehashes.
+  // Like the directory above, size the cold-line set (and infinite caches)
+  // to the application's allocated footprint so steady-state operation
+  // never rehashes.
   const std::size_t lines =
       static_cast<std::size_t>(as.bytes_allocated() / cfg_.cache.line_bytes);
-  dir_.reserve(lines);
   touched_lines_.reserve(lines);
   if (cfg_.cache.infinite()) {
     for (auto& c : caches_) c->reserve(lines);
@@ -64,7 +65,7 @@ void CoherenceController::audit() const {
   }
 
   // Directory entries agree with cluster cache contents and states.
-  for (const auto& [line, e] : dir_.entries()) {
+  dir_.for_each([&](Addr line, const DirEntry& e) {
     if (nc < 64 && (e.sharers >> nc) != 0) {
       violation(line, "sharer bit set beyond cluster count");
     }
@@ -99,7 +100,7 @@ void CoherenceController::audit() const {
                             " caches it EXCLUSIVE");
       }
     }
-  }
+  });
 
   // Every cached line is tracked by the directory (catches dropped entries).
   for (unsigned c = 0; c < nc; ++c) {
@@ -138,16 +139,12 @@ bool CoherenceController::capture_warm_state(WarmState& out) const {
   out.homes = homes_.snapshot();
   out.directory.clear();
   out.directory.reserve(dir_.tracked_lines());
-  for (const auto& [line, e] : dir_.entries()) {
+  dir_.for_each([&](Addr line, const DirEntry& e) {
     // Fully invalidated entries are behaviorally identical to absent ones.
-    if (e.state == DirState::NotCached && e.sharers == 0) continue;
+    if (e.state == DirState::NotCached && e.sharers == 0) return;
     out.directory.push_back(
         WarmDirLine{line, static_cast<std::uint8_t>(e.state), e.sharers});
-  }
-  std::sort(out.directory.begin(), out.directory.end(),
-            [](const WarmDirLine& a, const WarmDirLine& b) {
-              return a.line < b.line;
-            });
+  });
   out.caches.clear();
   out.caches.reserve(caches_.size());
   for (const auto& c : caches_) {
@@ -201,14 +198,6 @@ void CoherenceController::install(ClusterId c, Addr line, LineState st) {
     // merged readers already captured their completion times.
     mshrs_[c].release(victim->line);
   }
-}
-
-LatencyClass CoherenceController::classify(ClusterId requester, Addr line,
-                                           const DirEntry& e) const {
-  // homes_.home_of is non-const (first-touch assignment), so resolve the
-  // home via the mutable map.
-  auto& self = const_cast<CoherenceController&>(*this);
-  return classify_miss(e, requester, self.homes_.home_of(line));
 }
 
 Cycles CoherenceController::acquire_port(ClusterId c, Addr line, Cycles now) {

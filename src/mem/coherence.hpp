@@ -139,8 +139,6 @@ class CoherenceController final : public MemorySystem {
   /// Installs a line into cluster `c`'s storage, processing any eviction.
   void install(ClusterId c, Addr line, LineState st);
 
-  LatencyClass classify(ClusterId requester, Addr line, const DirEntry& e) const;
-
   std::shared_ptr<const MachineSpec> spec_;  // the run's shared immutable spec
   const MachineSpec& cfg_;                   // = *spec_
   bool functional_ = false;  // warming regime: timing-only work skipped

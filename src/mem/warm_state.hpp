@@ -10,14 +10,15 @@
 // magic, checksum mismatch, version skew) degrades into a warning and a
 // fresh in-process warmup, never a wrong answer.
 //
-// Contents are byte-deterministic: hash-map state (directory, attraction
-// memory, home map, touched-line set) is sorted by address before encoding,
-// and cache lines are dumped in set order, LRU to MRU within each set, so
-// re-inserting in file order rebuilds the exact replacement order. MSHR
-// tables, hit-filter entries, and contention queues are deliberately
-// omitted: at the warmup boundary MSHRs are dropped by the functional-mode
-// toggle, hit filters are a digest-neutral fast path (pinned by
-// hit_filter_test), and contention queues are untouched in functional mode.
+// Contents are byte-deterministic: the directory is captured in line order,
+// hash-map state (attraction memory, home map, touched-line set) is sorted by
+// address before encoding, and cache lines are dumped in set order, LRU to
+// MRU within each set, so re-inserting in file order rebuilds the exact
+// replacement order. MSHR tables, hit-filter entries, and contention queues
+// are deliberately omitted: at the warmup boundary MSHRs are dropped by the
+// functional-mode toggle, hit filters are a digest-neutral fast path (pinned
+// by hit_filter_test), and contention queues are untouched in functional
+// mode.
 #pragma once
 
 #include <cstdint>
