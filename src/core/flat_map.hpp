@@ -1,9 +1,9 @@
 // Open-addressing flat hash map keyed by simulated addresses.
 //
-// The memory system keeps its sparse per-line state in these tables: each
-// cache's line index, the MSHRs, the shared-main-memory attraction memories,
-// the cold-line set and the page home map. (The directory is dense over the
-// allocated footprint and indexes a flat array instead; see directory.hpp.)
+// The memory system keeps its sparse state in these tables: each cache's
+// line index, the MSHRs and the page home map. (State kept for every line of
+// the allocated footprint — the directory, the attraction memories and the
+// cold-line set — indexes a flat array instead; see src/mem/line_table.hpp.)
 // std::unordered_map pays a heap-allocated node and a pointer chase per
 // entry; FlatMap stores keys, values, and occupancy tags in three dense
 // arrays with linear probing and a multiplicative (Fibonacci) hash, so the
@@ -178,31 +178,6 @@ class FlatMap {
   unsigned shift_ = 64;
   std::size_t size_ = 0;
   std::size_t tombs_ = 0;
-};
-
-/// Flat hash set of addresses (cold-miss tracking).
-class FlatSet {
- public:
-  void reserve(std::size_t n) { m_.reserve(n); }
-  [[nodiscard]] std::size_t size() const noexcept { return m_.size(); }
-  [[nodiscard]] bool contains(Addr k) const noexcept { return m_.contains(k); }
-  /// Returns true if `k` was newly inserted.
-  bool insert(Addr k) { return m_.try_emplace(k).second; }
-
-  /// All members, in unspecified order (warm-state capture; caller sorts).
-  [[nodiscard]] std::vector<Addr> to_vector() const {
-    std::vector<Addr> out;
-    out.reserve(m_.size());
-    for (const auto& [k, v] : m_) {
-      (void)v;
-      out.push_back(k);
-    }
-    return out;
-  }
-
- private:
-  struct Unit {};
-  FlatMap<Unit> m_;
 };
 
 }  // namespace csim

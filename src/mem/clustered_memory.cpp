@@ -1,6 +1,5 @@
 #include "src/mem/clustered_memory.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "src/core/error.hpp"
@@ -16,7 +15,9 @@ ClusteredMemorySystem::ClusteredMemorySystem(
     : spec_(std::move(spec)), cfg_(*spec_), homes_(as, cfg_),
       dir_(cfg_.cache.line_bytes, as.bytes_allocated() / cfg_.cache.line_bytes),
       line_shift_(
-          static_cast<unsigned>(std::countr_zero(cfg_.cache.line_bytes))) {
+          static_cast<unsigned>(std::countr_zero(cfg_.cache.line_bytes))),
+      touched_lines_(cfg_.cache.line_bytes,
+                     as.bytes_allocated() / cfg_.cache.line_bytes) {
   if (cfg_.contention.enabled) {
     contention_ = std::make_unique<ContentionModel>(cfg_);
   }
@@ -28,17 +29,18 @@ ClusteredMemorySystem::ClusteredMemorySystem(
     caches_.push_back(std::make_unique<CacheStorage>(
         lines_per_proc, cfg_.cache.associativity, cfg_.cache.line_bytes));
   }
-  attraction_.resize(cfg_.num_clusters());
+  // Like the directory and the cold-line set above, the attraction memories
+  // (and infinite private caches) are sized to the application's allocated
+  // footprint so steady-state operation never grows or rehashes them.
+  const std::size_t lines =
+      static_cast<std::size_t>(as.bytes_allocated() / cfg_.cache.line_bytes);
+  attraction_.reserve(cfg_.num_clusters());
+  for (unsigned c = 0; c < cfg_.num_clusters(); ++c) {
+    attraction_.emplace_back(cfg_.cache.line_bytes, lines);
+  }
   mshrs_.resize(cfg_.num_clusters());
   counters_.resize(cfg_.num_clusters());
   gen_.resize(cfg_.num_clusters() * kGenStripes, 0);
-  // Like the directory above, size the cold-line set, attraction memories,
-  // and (infinite) private caches to the application's allocated footprint
-  // so steady-state operation never rehashes.
-  const std::size_t lines =
-      static_cast<std::size_t>(as.bytes_allocated() / cfg_.cache.line_bytes);
-  touched_lines_.reserve(lines);
-  for (auto& a : attraction_) a.reserve(lines);
   if (cfg_.cache.infinite()) {
     for (auto& c : caches_) c->reserve(lines);
   }
@@ -120,7 +122,7 @@ void ClusteredMemorySystem::audit() const {
   // private copy is the sole copy of a cluster_exclusive line.
   for (unsigned c = 0; c < nc; ++c) {
     const ProcId base = c * ppc;
-    for (const auto& [line, cl] : attraction_[c]) {
+    attraction_[c].for_each([&](Addr line, const ClusterLine& cl) {
       if (ppc < 64 && (cl.proc_copies >> ppc) != 0) {
         violation(line, "proc_copies bit set beyond cluster size");
       }
@@ -146,7 +148,7 @@ void ClusteredMemorySystem::audit() const {
           }
         }
       }
-    }
+    });
     // Private cache contents are always tracked on the bus.
     for (unsigned li = 0; li < ppc; ++li) {
       for (Addr line : caches_[base + li]->resident_lines()) {
@@ -181,8 +183,7 @@ bool ClusteredMemorySystem::capture_warm_state(WarmState& out) const {
   out.num_procs = cfg_.num_procs;
   out.procs_per_cluster = cfg_.procs_per_cluster;
   out.counters = counters_;
-  out.touched_lines = touched_lines_.to_vector();
-  std::sort(out.touched_lines.begin(), out.touched_lines.end());
+  out.touched_lines = touched_lines_.lines();
   out.home_rr_next = homes_.rr_next();
   out.homes = homes_.snapshot();
   out.directory.clear();
@@ -209,15 +210,11 @@ bool ClusteredMemorySystem::capture_warm_state(WarmState& out) const {
   for (const Attraction& a : attraction_) {
     std::vector<WarmAttractionLine> lines;
     lines.reserve(a.size());
-    for (const auto& [line, cl] : a) {
+    a.for_each([&](Addr line, const ClusterLine& cl) {
       lines.push_back(WarmAttractionLine{
           line, cl.proc_copies,
           static_cast<std::uint8_t>(cl.cluster_exclusive ? 1 : 0)});
-    }
-    std::sort(lines.begin(), lines.end(),
-              [](const WarmAttractionLine& x, const WarmAttractionLine& y) {
-                return x.line < y.line;
-              });
+    });
     out.attraction.push_back(std::move(lines));
   }
   return true;
@@ -250,8 +247,9 @@ bool ClusteredMemorySystem::restore_warm_state(const WarmState& ws) {
   }
   for (unsigned c = 0; c < nc; ++c) {
     for (const WarmAttractionLine& l : ws.attraction[c]) {
-      attraction_[c][l.line] =
-          ClusterLine{l.proc_copies, l.cluster_exclusive != 0};
+      ClusterLine& cl = attraction_[c].insert(l.line);
+      cl.proc_copies = l.proc_copies;
+      cl.cluster_exclusive = l.cluster_exclusive != 0;
     }
   }
   return true;
@@ -354,8 +352,9 @@ AccessResult ClusteredMemorySystem::fetch_remote(ProcId p, Addr line,
   ++ctr.by_class[static_cast<unsigned>(lclass)];
   if (maybe_cold && touched_lines_.insert(line)) ++ctr.cold_misses;
 
-  attraction_[c][line] =
-      ClusterLine{std::uint64_t{1} << local_index(p), exclusive};
+  ClusterLine& cl = attraction_[c].insert(line);
+  cl.proc_copies = std::uint64_t{1} << local_index(p);
+  cl.cluster_exclusive = exclusive;
   install_private(p, line, exclusive ? LineState::Exclusive : LineState::Shared);
 
   // Queueing delays cascade in request order: bus (already paid), then the
@@ -455,7 +454,7 @@ AccessResult ClusteredMemorySystem::read(ProcId p, Addr a, Cycles now) {
       ++ctr.cluster_memory_hits;
     }
     install_private(p, line, LineState::Shared);
-    attraction_[c][line].proc_copies |= std::uint64_t{1} << local_index(p);
+    cl.proc_copies |= std::uint64_t{1} << local_index(p);
     AccessResult r{AccessResult::Kind::NearHit, lat, now + lat + bus_wait,
                    LatencyClass::LocalClean};
     r.contention = bus_wait;
@@ -534,7 +533,7 @@ std::optional<AccessResult> ClusteredMemorySystem::local_read(ProcId p,
       ++ctr.cluster_memory_hits;
     }
     install_private(p, line, LineState::Shared);
-    attraction_[c][line].proc_copies |= std::uint64_t{1} << local_index(p);
+    cl.proc_copies |= std::uint64_t{1} << local_index(p);
     return AccessResult{AccessResult::Kind::NearHit, lat, now + lat,
                         LatencyClass::LocalClean};
   }
@@ -661,7 +660,7 @@ AccessResult ClusteredMemorySystem::write(ProcId p, Addr a, Cycles now) {
     // Proc-level upgrade: kill peer copies on the bus; if other clusters
     // also hold the line, take machine-wide ownership through the directory.
     const Cycles bus_wait = acquire_bus(c, line, now);
-    ClusterLine& cl = attraction_[c][line];
+    ClusterLine& cl = attraction_[c].insert(line);
     kill_local_peers(cl);
     caches_[p]->set_state(line, LineState::Exclusive);
     if (!cl.cluster_exclusive) {

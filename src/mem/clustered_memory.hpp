@@ -28,11 +28,11 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/flat_map.hpp"
 #include "src/core/machine.hpp"
 #include "src/mem/address_space.hpp"
 #include "src/mem/cache.hpp"
 #include "src/mem/directory.hpp"
+#include "src/mem/line_table.hpp"
 #include "src/mem/memory_system.hpp"
 #include "src/mem/mshr.hpp"
 
@@ -130,12 +130,19 @@ class ClusteredMemorySystem final : public MemorySystem {
  private:
   /// Per-cluster per-line bus-level bookkeeping: which local processors hold
   /// a copy (bit per in-cluster processor index), and whether the cluster
-  /// owns the line exclusively machine-wide.
+  /// owns the line exclusively machine-wide. A present record means the line
+  /// is resident in the cluster's attraction memory.
   struct ClusterLine {
     std::uint64_t proc_copies = 0;
     bool cluster_exclusive = false;
+
+   private:
+    template <typename>
+    friend class LineTable;
+    bool present_ = false;  // resident (LineTable writes it)
   };
-  using Attraction = FlatMap<ClusterLine>;
+  static_assert(sizeof(ClusterLine) == 16, "presence folds into the padding");
+  using Attraction = LineTable<ClusterLine>;
 
   [[nodiscard]] Addr line_of(Addr a) const noexcept {
     return a & ~Addr{cfg_.cache.line_bytes - 1};
@@ -183,7 +190,7 @@ class ClusteredMemorySystem final : public MemorySystem {
   std::vector<MissCounters> counters_;
   std::vector<std::uint64_t> gen_;  // kGenStripes generations per cluster
   unsigned line_shift_;             // log2(line_bytes), for gen_stripe
-  FlatSet touched_lines_;
+  LineSet touched_lines_;  // cold-miss tracking
 };
 
 }  // namespace csim

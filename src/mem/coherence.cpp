@@ -1,6 +1,5 @@
 #include "src/mem/coherence.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "src/core/error.hpp"
@@ -16,7 +15,9 @@ CoherenceController::CoherenceController(std::shared_ptr<const MachineSpec> spec
     : spec_(std::move(spec)), cfg_(*spec_), homes_(as, cfg_),
       dir_(cfg_.cache.line_bytes, as.bytes_allocated() / cfg_.cache.line_bytes),
       line_shift_(
-          static_cast<unsigned>(std::countr_zero(cfg_.cache.line_bytes))) {
+          static_cast<unsigned>(std::countr_zero(cfg_.cache.line_bytes))),
+      touched_lines_(cfg_.cache.line_bytes,
+                     as.bytes_allocated() / cfg_.cache.line_bytes) {
   if (cfg_.contention.enabled) {
     contention_ = std::make_unique<ContentionModel>(cfg_);
   }
@@ -30,14 +31,12 @@ CoherenceController::CoherenceController(std::shared_ptr<const MachineSpec> spec
   mshrs_.resize(nc);
   counters_.resize(nc);
   gen_.resize(nc * kGenStripes, 0);
-  // Like the directory above, size the cold-line set (and infinite caches)
-  // to the application's allocated footprint so steady-state operation
-  // never rehashes.
-  const std::size_t lines =
-      static_cast<std::size_t>(as.bytes_allocated() / cfg_.cache.line_bytes);
-  touched_lines_.reserve(lines);
+  // Like the directory above, size infinite caches to the application's
+  // allocated footprint so steady-state operation never rehashes.
   if (cfg_.cache.infinite()) {
-    for (auto& c : caches_) c->reserve(lines);
+    for (auto& c : caches_) {
+      c->reserve(as.bytes_allocated() / cfg_.cache.line_bytes);
+    }
   }
 }
 
@@ -133,8 +132,7 @@ bool CoherenceController::capture_warm_state(WarmState& out) const {
   out.num_procs = cfg_.num_procs;
   out.procs_per_cluster = cfg_.procs_per_cluster;
   out.counters = counters_;
-  out.touched_lines = touched_lines_.to_vector();
-  std::sort(out.touched_lines.begin(), out.touched_lines.end());
+  out.touched_lines = touched_lines_.lines();
   out.home_rr_next = homes_.rr_next();
   out.homes = homes_.snapshot();
   out.directory.clear();

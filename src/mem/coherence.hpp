@@ -17,13 +17,13 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/flat_map.hpp"
 #include "src/core/machine.hpp"
 #include "src/core/stats.hpp"
 #include "src/core/types.hpp"
 #include "src/mem/address_space.hpp"
 #include "src/mem/cache.hpp"
 #include "src/mem/directory.hpp"
+#include "src/mem/line_table.hpp"
 #include "src/mem/memory_system.hpp"
 #include "src/mem/mshr.hpp"
 
@@ -150,7 +150,7 @@ class CoherenceController final : public MemorySystem {
   std::vector<MissCounters> counters_;
   std::vector<std::uint64_t> gen_;  // kGenStripes generations per cluster
   unsigned line_shift_;             // log2(line_bytes), for gen_stripe
-  FlatSet touched_lines_;  // cold-miss tracking
+  LineSet touched_lines_;  // cold-miss tracking
 };
 
 }  // namespace csim

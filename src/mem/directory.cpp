@@ -1,20 +1,6 @@
 #include "src/mem/directory.hpp"
 
-#include <algorithm>
-#include <bit>
-
 namespace csim {
-
-Directory::Directory(unsigned line_bytes, std::size_t lines)
-    : line_shift_(static_cast<unsigned>(std::countr_zero(line_bytes))),
-      entries_(lines),
-      tracked_(lines, false) {}
-
-void Directory::grow(std::size_t i) {
-  const std::size_t n = std::max(i + 1, 2 * entries_.size());
-  entries_.resize(n);
-  tracked_.resize(n, false);
-}
 
 void Directory::replacement_hint(Addr line, ClusterId c) {
   DirEntry* e = find(line);
@@ -24,9 +10,7 @@ void Directory::replacement_hint(Addr line, ClusterId c) {
     // Last copy gone (or the owner evicted — writeback; nobody else can have
     // held a copy): the line is NOT_CACHED, which is what peek() reports for
     // untracked lines, so drop the entry entirely.
-    *e = DirEntry{};
-    tracked_[index(line)] = false;
-    --tracked_count_;
+    entries_.erase(line);
   }
 }
 

@@ -12,14 +12,15 @@
 #include <vector>
 
 #include "src/core/types.hpp"
+#include "src/mem/line_table.hpp"
 
 namespace csim {
 
 enum class DirState : std::uint8_t { NotCached, Shared, Exclusive };
 
 struct DirEntry {
-  DirState state = DirState::NotCached;
   std::uint64_t sharers = 0;  ///< bit per cluster (<= 64 clusters)
+  DirState state = DirState::NotCached;
 
   [[nodiscard]] bool has(ClusterId c) const noexcept {
     return (sharers >> c) & 1u;
@@ -33,42 +34,37 @@ struct DirEntry {
   [[nodiscard]] ClusterId owner() const noexcept {
     return static_cast<ClusterId>(__builtin_ctzll(sharers));
   }
-};
 
-/// Directly indexed by line number: AddressSpace is a bump allocator, so the
-/// lines of a run are dense in [0, bytes_allocated) and a flat entry array
-/// replaces any hashing.
+ private:
+  template <typename>
+  friend class LineTable;
+  bool present_ = false;  // tracked by the directory (LineTable writes it)
+};
+static_assert(sizeof(DirEntry) == 16, "presence folds into the padding");
+
+/// Directly indexed by line number (a LineTable): AddressSpace is a bump
+/// allocator, so the lines of a run are dense in [0, bytes_allocated).
 class Directory {
  public:
   /// Sized for lines [0, lines) of `line_bytes` (a power of two) each; a
   /// line past the end grows the table on first entry().
-  Directory(unsigned line_bytes, std::size_t lines);
+  Directory(unsigned line_bytes, std::size_t lines)
+      : entries_(line_bytes, lines) {}
 
   /// Entry for `line`; creates a NOT_CACHED entry on first touch. May grow
   /// the table: invalidates pointers/references from earlier entry()/find()
   /// calls.
-  DirEntry& entry(Addr line) {
-    const std::size_t i = index(line);
-    if (i >= entries_.size()) grow(i);
-    if (!tracked_[i]) {
-      tracked_[i] = true;
-      ++tracked_count_;
-    }
-    return entries_[i];
-  }
+  DirEntry& entry(Addr line) { return entries_.insert(line); }
 
   /// Entry for `line` if tracked, else nullptr. Never creates an entry —
   /// use on paths that only mutate existing state (invalidations,
   /// downgrades).
-  [[nodiscard]] DirEntry* find(Addr line) {
-    const std::size_t i = index(line);
-    return i < entries_.size() && tracked_[i] ? &entries_[i] : nullptr;
-  }
+  [[nodiscard]] DirEntry* find(Addr line) { return entries_.find(line); }
 
   /// Read-only view; returns NOT_CACHED default for untracked lines.
   [[nodiscard]] DirEntry peek(Addr line) const {
-    const std::size_t i = index(line);
-    return i < entries_.size() ? entries_[i] : DirEntry{};
+    const DirEntry* e = entries_.find(line);
+    return e != nullptr ? *e : DirEntry{};
   }
 
   /// Replacement hint: cluster `c` evicted `line`. Drops the entry when the
@@ -78,32 +74,21 @@ class Directory {
 
   /// Lines created by entry() and not yet dropped by replacement_hint().
   [[nodiscard]] std::size_t tracked_lines() const noexcept {
-    return tracked_count_;
+    return entries_.size();
   }
 
   /// Calls `f(line, entry)` for every tracked line in ascending line order
   /// (auditing, checkpoints, diagnostics).
   template <typename F>
   void for_each(F&& f) const {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (tracked_[i]) f(static_cast<Addr>(i) << line_shift_, entries_[i]);
-    }
+    entries_.for_each(f);
   }
 
   /// Lines currently in the given state (testing / diagnostics).
   [[nodiscard]] std::vector<Addr> lines_in_state(DirState s) const;
 
  private:
-  [[nodiscard]] std::size_t index(Addr line) const noexcept {
-    return static_cast<std::size_t>(line >> line_shift_);
-  }
-  void grow(std::size_t i);
-
-  unsigned line_shift_;
-  // Untracked entries always hold DirEntry{} (NOT_CACHED, no sharers).
-  std::vector<DirEntry> entries_;
-  std::vector<bool> tracked_;
-  std::size_t tracked_count_ = 0;
+  LineTable<DirEntry> entries_;
 };
 
 /// Table 1 latency classification of a miss by requester/home/ownership.

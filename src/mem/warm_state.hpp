@@ -10,9 +10,9 @@
 // magic, checksum mismatch, version skew) degrades into a warning and a
 // fresh in-process warmup, never a wrong answer.
 //
-// Contents are byte-deterministic: the directory is captured in line order,
-// hash-map state (attraction memory, home map, touched-line set) is sorted by
-// address before encoding, and cache lines are dumped in set order, LRU to
+// Contents are byte-deterministic: the directory, attraction memories and
+// touched-line set are captured in line order, the hashed home map is sorted
+// by page before encoding, and cache lines are dumped in set order, LRU to
 // MRU within each set, so re-inserting in file order rebuilds the exact
 // replacement order. MSHR tables, hit-filter entries, and contention queues
 // are deliberately omitted: at the warmup boundary MSHRs are dropped by the
